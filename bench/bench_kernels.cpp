@@ -251,6 +251,7 @@ BENCHMARK(BM_OnlineRuntime)
     ->Arg(160)
     ->Arg(320)
     ->Arg(640)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeProcess(benchmark::State& state) {
@@ -302,6 +303,7 @@ void BM_OnlineRuntimeProcess(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeProcess)
     ->Arg(160)
     ->Arg(320)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeShm(benchmark::State& state) {
@@ -366,18 +368,15 @@ BENCHMARK(BM_OnlineRuntimeShm)
     ->Arg(160)
     ->Arg(320)
     ->Arg(640)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeTcp(benchmark::State& state) {
-  // The same end-to-end online run over the loopback-TCP transport with
-  // wire compression on: forked workers DIAL the master's listen socket,
-  // speak the versioned handshake, and every frame crosses a real TCP
-  // stream. Blocks/sec against BM_OnlineRuntimeProcess is the price of
-  // the socket layer over raw socketpairs; wire_MB/s is the traffic
-  // that actually hit the wire (post-compression), and compression_x is
-  // the codec's ratio (raw bytes / shipped bytes) on this workload --
-  // the initial C is all zeros, so result frames start out maximally
-  // compressible and decay as the product fills in.
+  // The same end-to-end online run over the loopback-TCP transport:
+  // forked workers DIAL the master's listen socket, speak the versioned
+  // handshake, and every frame crosses a real TCP stream. Blocks/sec
+  // against BM_OnlineRuntimeProcess is the price of the socket layer
+  // over raw socketpairs (both run the same framed-socket endpoint).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
   const matrix::Partition part(n, n, n, 16);
@@ -388,15 +387,12 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
   std::size_t blocks = 0;
   std::size_t updates = 0;
   std::size_t wire_bytes = 0;
-  std::size_t frames_compressed = 0;
-  std::size_t bytes_saved = 0;
   double serde_seconds = 0.0;
   std::size_t runs = 0;
   for (auto _ : state) {
     auto scheduler = sched::make_oddoml(plat, part);
     runtime::ExecutorOptions options;
     options.transport = runtime::TransportKind::kTcp;
-    options.wire_compression = true;
     options.verify = false;
     const runtime::ExecutorReport report =
         runtime::execute_online(scheduler, plat, part, a, b, c, options);
@@ -404,8 +400,6 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
     updates += report.updates_performed;
     wire_bytes += report.transport_stats.bytes_sent +
                   report.transport_stats.bytes_received;
-    frames_compressed += report.transport_stats.frames_compressed;
-    bytes_saved += report.transport_stats.bytes_saved_by_compression;
     serde_seconds += report.transport_stats.serde_seconds;
     ++runs;
     benchmark::DoNotOptimize(report.wall_seconds);
@@ -417,17 +411,13 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
   state.counters["wire_MB/s"] = benchmark::Counter(
       static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
       benchmark::Counter::kIsRate);
-  const double raw_bytes = static_cast<double>(wire_bytes + bytes_saved);
-  state.counters["compression_x"] =
-      wire_bytes > 0 ? raw_bytes / static_cast<double>(wire_bytes) : 1.0;
-  state.counters["frames_compressed"] =
-      static_cast<double>(frames_compressed);
   state.counters["serde_ms"] =
       runs > 0 ? serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
 }
 BENCHMARK(BM_OnlineRuntimeTcp)
     ->Arg(160)
     ->Arg(320)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeFaulty(benchmark::State& state) {
@@ -473,6 +463,7 @@ void BM_OnlineRuntimeFaulty(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeFaulty)
     ->Arg(160)
     ->Arg(320)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeStraggler(benchmark::State& state) {
@@ -519,6 +510,7 @@ void BM_OnlineRuntimeStraggler(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeStraggler)
     ->Arg(160)
     ->Arg(320)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServiceThroughput(benchmark::State& state) {

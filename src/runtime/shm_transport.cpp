@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cerrno>
 #include <climits>
-#include <csignal>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -49,17 +48,16 @@
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #if defined(__linux__)
 #include <linux/futex.h>
-#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <ctime>
 #endif
 
 #include "matrix/kernel_dispatch.hpp"
 #include "matrix/tuning.hpp"
+#include "runtime/child_process.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/shared_arena.hpp"
@@ -466,50 +464,6 @@ class ShmWorkerPort final : public WorkerPort {
   bool done_ = false;
 };
 
-/// Child-process entry, the shm twin of the process transport's
-/// run_child (see the fork-without-exec notes there). The arena object
-/// itself arrives via the inherited heap; its PAGES are MAP_SHARED, so
-/// the child's slot releases are the master's slot releases.
-[[noreturn]] void run_child(int fd, const WorkerContext& context,
-                            RingChannel* rings, SharedArena* arena,
-                            SharedAckBoard* acks, std::size_t index,
-                            const matrix::KernelConfig& config) {
-#if defined(__linux__)
-  // An orphaned worker must not outlive a crashed master.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  // Re-assert the master's tier, micro-kernel variant and tuned
-  // blocking: the child can never re-resolve (or re-tune) differently.
-  matrix::install_kernel_config(config);
-
-  // The child's private pool only ever serves scratch buffers (the
-  // slowdown emulation): every protocol payload lives in the arena.
-  BufferPool pool;
-  ShmWorkerPort port(fd, rings, arena, acks, index);
-  try {
-    // Answer with the configuration the child ACTUALLY runs (re-read,
-    // not echoed), so the master's verification is end-to-end.
-    port.send_hello(serde::local_hello(matrix::current_kernel_config()));
-    worker_main(context, port, pool);
-  } catch (const std::exception& error) {
-    try {
-      ByteBuffer notice;
-      serde::encode_error(error.what(), notice);
-      write_exact(fd, notice.data(), notice.size());
-      acks->raise_rx_hint(index);
-    } catch (...) {
-      // The socket is gone too; the EOF alone carries the news.
-    }
-    ::close(fd);
-    ::_exit(2);
-  } catch (...) {
-    ::close(fd);
-    ::_exit(2);
-  }
-  ::close(fd);
-  ::_exit(0);
-}
-
 // ---- master side ------------------------------------------------------------
 
 class ShmEndpoint final : public Endpoint {
@@ -520,7 +474,7 @@ class ShmEndpoint final : public Endpoint {
               TransportStats* stats)
       : index_(index),
         fd_(fd),
-        pid_(pid),
+        child_(pid),
         capacity_(capacity),
         expected_hello_(expected_hello),
         rings_(rings),
@@ -651,7 +605,7 @@ class ShmEndpoint final : public Endpoint {
   void kill() override {
     if (killed_) return;
     killed_ = true;
-    if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
+    child_.kill();
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
@@ -668,7 +622,7 @@ class ShmEndpoint final : public Endpoint {
       results_.front().c.release_to(pool);
       results_.pop_front();
     }
-    rx_.clear();
+    reader_.clear();
     // The rings are left untouched: frames still sitting in them
     // reference slots tagged with this worker, so the sweep below
     // reclaims those too, and a decommissioned endpoint never pops its
@@ -730,13 +684,7 @@ class ShmEndpoint final : public Endpoint {
       ::close(fd_);
       fd_ = -1;
     }
-    if (pid_ > 0 && !reaped_) {
-      if (failed_) ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-      reaped_ = true;
-    }
+    child_.reap(/*force=*/failed_);
     // Queued results parsed but never popped would pin their slots
     // forever; a clean run has none, an aborted one hands them back.
     while (!results_.empty()) results_.pop_front();  // Payload releases
@@ -757,23 +705,9 @@ class ShmEndpoint final : public Endpoint {
 
   void mark_failed(const std::string& reason) {
     if (failed_) return;
-    std::string what = "worker process " + std::to_string(index_) + ": " +
-                       reason;
-    if (pid_ > 0 && !reaped_) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-      if (reaped == pid_) {
-        reaped_ = true;
-        if (WIFSIGNALED(status)) {
-          what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                  ")";
-        } else if (WIFEXITED(status)) {
-          what += " (exit status " + std::to_string(WEXITSTATUS(status)) +
-                  ")";
-        }
-      }
-    }
-    error_ = std::make_exception_ptr(std::runtime_error(what));
+    error_ = std::make_exception_ptr(
+        std::runtime_error("worker process " + std::to_string(index_) + ": " +
+                           reason + child_.exit_suffix()));
     failed_ = true;
   }
 
@@ -842,60 +776,23 @@ class ShmEndpoint final : public Endpoint {
     pump_rings();
   }
 
+  /// Absorbs the control socket: hello and error frames, and the EOF
+  /// that announces a dead child.
   void pump() {
     if (eof_ || fd_ < 0) return;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        rx_.insert(rx_.end(), buffer, buffer + n);
-        if (static_cast<std::size_t>(n) < sizeof buffer) break;
-        continue;
+    try {
+      eof_ = !reader_.fill(fd_);
+      const std::uint8_t* body = nullptr;
+      std::size_t size = 0;
+      while (!failed_ && reader_.next(&body, &size)) {
+        stats_->bytes_received += serde::kLengthBytes + size;
+        dispatch(body, size);
       }
-      if (n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        eof_ = true;
-        break;
-      }
-      mark_failed(std::string("recv failed: ") + std::strerror(errno));
-      return;
+    } catch (const std::exception& error) {
+      mark_failed(std::string("protocol corruption: ") + error.what());
     }
-    parse_frames();
-    if (eof_ && !failed_ && !discarding_)
+    if (eof_ && !discarding_)
       mark_failed("exited unexpectedly (connection closed)");
-  }
-
-  void parse_frames() {
-    std::size_t cursor = 0;
-    while (rx_.size() - cursor >= serde::kLengthBytes) {
-      std::uint64_t length = 0;
-      try {
-        length = serde::checked_frame_length(rx_.data() + cursor,
-                                             kBootstrapFrameBytes);
-      } catch (const std::exception& error) {
-        mark_failed(error.what());
-        break;
-      }
-      if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-      try {
-        dispatch(rx_.data() + cursor + serde::kLengthBytes,
-                 static_cast<std::size_t>(length));
-      } catch (const std::exception& error) {
-        mark_failed(std::string("protocol corruption: ") + error.what());
-        break;
-      }
-      cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-      stats_->bytes_received += serde::kLengthBytes +
-                                static_cast<std::size_t>(length);
-    }
-    if (cursor > 0)
-      rx_.erase(rx_.begin(),
-                rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
   }
 
   void dispatch(const std::uint8_t* body, std::size_t size) {
@@ -928,7 +825,7 @@ class ShmEndpoint final : public Endpoint {
 
   int index_;
   int fd_;
-  pid_t pid_;
+  ChildProcess child_;
   std::size_t capacity_;
   std::uint64_t sent_ = 0;
   serde::HelloFrame expected_hello_;
@@ -936,7 +833,7 @@ class ShmEndpoint final : public Endpoint {
   SharedArena* arena_;
   SharedAckBoard* acks_;
   TransportStats* stats_;
-  ByteBuffer rx_;       // socket bytes (hello / error frames)
+  FrameReader reader_{kBootstrapFrameBytes};  // hello / error frames
   ByteBuffer tx_;       // per-message encode scratch
   ByteBuffer ring_rx_;  // per-frame ring pop scratch
   std::deque<ResultMessage> results_;
@@ -948,7 +845,6 @@ class ShmEndpoint final : public Endpoint {
   bool hello_seen_ = false;
   bool discarding_ = false;
   bool drained_ = false;
-  bool reaped_ = false;
 };
 
 class ShmTransport final : public Transport {
@@ -993,8 +889,19 @@ class ShmTransport final : public Transport {
             if (master_fds[j] >= 0) ::close(master_fds[j]);
             if (j != i && child_fds[j] >= 0) ::close(child_fds[j]);
           }
-          run_child(child_fds[i], context, rings_.channel(i), &arena_,
-                    &acks_, i, config);  // never returns
+          run_worker_child(
+              child_fds[i], config, [&](int& fd, BufferPool& worker_pool) {
+                // The arena object arrives via the inherited heap; its
+                // PAGES are MAP_SHARED, so the child's slot releases are
+                // the master's. The private pool only ever serves
+                // scratch buffers (the slowdown emulation).
+                ShmWorkerPort port(fd, rings_.channel(i), &arena_, &acks_, i);
+                // Answer with the configuration the child ACTUALLY runs
+                // (re-read, not echoed): the check is end-to-end.
+                port.send_hello(
+                    serde::local_hello(matrix::current_kernel_config()));
+                worker_main(context, port, worker_pool);
+              });
         }
         ::close(child_fds[i]);
         child_fds[i] = -1;

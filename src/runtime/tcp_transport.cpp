@@ -1,47 +1,37 @@
 // TcpTransport: the online runtime over loopback TCP -- workers DIAL
 // the master instead of inheriting a socketpair end, which is the whole
 // connection lifecycle of a real cluster deployment rehearsed inside
-// one machine (and one CI job).
+// one machine (and one CI job). Once connected, a TCP worker speaks the
+// framed-socket protocol of runtime/stream_endpoint.hpp, exactly like a
+// process worker; what is TCP-only lives here: the listen socket, the
+// dialing, the identity tokens, and re-admission.
 //
 // Topology: the master binds a listen socket on 127.0.0.1 (ephemeral
 // port) BEFORE forking, so the very first connect can never be refused.
-// Each forked worker dials that port, sends a versioned hello frame
-// carrying its per-worker identity TOKEN, and waits for the master's
-// hello ack. The Acceptor owns the listen socket and every connection
-// that has not yet proven its identity: it accepts, accumulates the
-// handshake frame under a small bound and a deadline, rejects strangers
-// (bad magic / wrong protocol version) with a kError naming both
-// versions, and stages authenticated connections by token until the
-// owning endpoint claims them.
+// Each forked worker dials that port and sends its hello carrying a
+// per-worker identity TOKEN. The Acceptor owns the listen socket and
+// every connection that has not yet proven its identity: it accepts,
+// reads the hello frame under a small bound and a deadline, rejects
+// strangers (bad magic / wrong protocol version) with a kError naming
+// both versions, and stages authenticated connections by token until
+// the owning endpoint adopts them.
 //
-// Reconnect lifecycle: a dropped connection surfaces as EOF-without-
+// Reconnect lifecycle: a dropped connection surfaces as EOF without a
 // goodbye. The master marks the endpoint failed and recovers exactly
 // like any worker death (mirror rollback, chunk back to the pending
 // set); the worker closes its end, redials, and re-handshakes with the
 // SAME token. Once the master finished recovering it polls
-// Endpoint::try_readmit, claims the staged connection, resets the
+// Endpoint::try_readmit, which adopts the staged connection with a fresh
 // credit window and re-admits the worker as a hot-joining idle worker
-// -- an FT-* scheduler then hands it orphaned or fresh work. A clean
-// shutdown is distinguished by an explicit kGoodbye frame before the
-// master half-closes; only EOF WITHOUT a goodbye means "the connection
-// died, come back".
-//
-// Wire compression (ExecutorOptions::wire_compression): frames above a
-// small threshold are wrapped as kCompressed (zero-RLE, serde) whenever
-// that actually shrinks them -- aimed at the bandwidth-bound regime the
-// paper's communication analysis prices, where operand tiles of a
-// sparse-ish C carry long zero runs.
+// -- an FT-* scheduler then hands it orphaned or fresh work.
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -50,21 +40,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
 
 #include "matrix/kernel_dispatch.hpp"
 #include "matrix/tuning.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/serde.hpp"
-#include "runtime/socket_util.hpp"
+#include "runtime/stream_endpoint.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/transport.hpp"
-#include "runtime/worker_main.hpp"
 #include "util/check.hpp"
 
 namespace hmxp::runtime {
@@ -72,22 +55,6 @@ namespace hmxp::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using serde::ByteBuffer;
-using serde::FrameType;
-
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
-}
-
-/// Handshake frames are a fixed handful of integers; anything bigger
-/// is not a worker saying hello. Bounding the PRE-authentication read
-/// this tightly means an unauthenticated peer can never make the
-/// master allocate.
-constexpr std::uint64_t kHandshakeFrameBytes = 4096;
-
-/// Frames below this never compress usefully (control frames, tiny
-/// descriptors); skip the codec attempt entirely.
-constexpr std::size_t kCompressMinBytes = 256;
 
 void set_nodelay(int fd) {
   // Credits and cancels are latency-critical one-liners; never let
@@ -96,19 +63,11 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-/// Compresses the frame sitting fully encoded in `frame` in place
-/// (via `scratch`) when the codec shrinks it; returns the bytes saved
-/// (0 = kept raw). `frame` holds [u64 length][body]; the kCompressed
-/// wrapper re-frames the body.
-std::size_t maybe_compress_frame(ByteBuffer& frame, ByteBuffer& scratch) {
-  if (frame.size() < kCompressMinBytes) return 0;
-  scratch.clear();
-  serde::encode_compressed(frame.data() + serde::kLengthBytes,
-                           frame.size() - serde::kLengthBytes, scratch);
-  if (scratch.size() >= frame.size()) return 0;
-  const std::size_t saved = frame.size() - scratch.size();
-  frame.swap(scratch);
-  return saved;
+/// Milliseconds left until `deadline`, rounded up (0 once it passed).
+int millis_until(Clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  return left.count() > 0 ? static_cast<int>(left.count()) : 0;
 }
 
 // ---- child side -------------------------------------------------------------
@@ -143,161 +102,32 @@ int dial_master(std::uint16_t port) {
   }
 }
 
-/// Sends the worker's identified hello and blocks for the master's
-/// verdict: a hello ack admits (decode_hello validates the master's
-/// magic and protocol version symmetrically, so BOTH sides of a
-/// version skew report it by name), a kError carries the rejection.
-void handshake(int fd, std::uint64_t token) {
-  serde::HelloFrame hello = serde::local_hello(matrix::current_kernel_config());
-  hello.token = token;
-  ByteBuffer frame;
-  serde::encode_hello(hello, frame);
-  write_exact(fd, frame.data(), frame.size());
-
-  ByteBuffer body;
-  if (!read_frame(fd, body, kHandshakeFrameBytes))
-    throw PeerDisconnected("master closed the connection during handshake");
-  switch (serde::frame_type(body.data(), body.size())) {
-    case FrameType::kHello:
-      serde::decode_hello(body.data(), body.size());
-      return;
-    case FrameType::kError:
-      throw std::runtime_error("master rejected handshake: " +
-                               serde::decode_error(body.data(), body.size()));
-    default:
-      throw std::runtime_error("unexpected handshake reply from master");
-  }
-}
-
-/// The worker's face of the TCP connection: frame intake with credit
-/// return and kCompressed unwrap, result frames out (compressed when
-/// the knob is on and the codec wins). A clean end-of-stream is ONLY
-/// the explicit kGoodbye; bare EOF throws PeerDisconnected, which the
-/// reconnect loop in run_child answers by redialing.
-class TcpWorkerPort final : public WorkerPort {
- public:
-  TcpWorkerPort(int fd, BufferPool* pool, std::uint64_t max_frame_bytes,
-                bool compress)
-      : fd_(fd),
-        pool_(pool),
-        max_frame_bytes_(max_frame_bytes),
-        compress_(compress) {}
-
-  std::optional<WorkerMessage> receive() override {
-    if (!read_frame(fd_, body_, max_frame_bytes_))
-      throw PeerDisconnected("connection closed without a goodbye");
-    if (serde::frame_type(body_.data(), body_.size()) == FrameType::kGoodbye)
-      return std::nullopt;  // clean shutdown: done for good
-    if (serde::frame_type(body_.data(), body_.size()) ==
-        FrameType::kCompressed) {
-      serde::decode_compressed(body_.data(), body_.size(), max_frame_bytes_,
-                               raw_);
-      body_.swap(raw_);
-    }
-
-    // Return the inbox credit BEFORE computing: the slot is free the
-    // moment the message is dequeued, exactly like a channel pop.
-    tx_.clear();
-    serde::encode_control(FrameType::kCredit, tx_);
-    write_exact(fd_, tx_.data(), tx_.size());
-
-    switch (serde::frame_type(body_.data(), body_.size())) {
-      case FrameType::kChunk:
-        return WorkerMessage(
-            serde::decode_chunk(body_.data(), body_.size(), *pool_));
-      case FrameType::kOperand:
-        return WorkerMessage(
-            serde::decode_operand(body_.data(), body_.size(), *pool_));
-      case FrameType::kCancel:
-        return WorkerMessage(
-            serde::decode_cancel(body_.data(), body_.size()));
-      default:
-        throw std::runtime_error("unexpected inbound frame type");
-    }
-  }
-
-  std::optional<WorkerMessage> try_receive() override {
-    struct pollfd probe;
-    probe.fd = fd_;
-    probe.events = POLLIN;
-    probe.revents = 0;
-    if (::poll(&probe, 1, 0) != 1 || (probe.revents & POLLIN) == 0)
-      return std::nullopt;
-    return receive();
-  }
-
-  void send(ResultMessage result) override {
-    tx_.clear();
-    serde::encode_result(result, tx_);
-    result.c.release_to(*pool_);
-    if (compress_) maybe_compress_frame(tx_, scratch_);
-    write_exact(fd_, tx_.data(), tx_.size());
-  }
-
- private:
-  int fd_;
-  BufferPool* pool_;
-  std::uint64_t max_frame_bytes_;
-  bool compress_;
-  ByteBuffer body_;
-  ByteBuffer raw_;
-  ByteBuffer tx_;
-  ByteBuffer scratch_;
-};
-
-/// Child-process entry with the reconnect loop: dial, handshake, serve.
-/// A severed connection (PeerDisconnected from either direction, or a
-/// TcpDisconnectFault injected by a fault hook) drops the socket and
-/// loops back to redial -- the worker restarts its protocol state from
+/// The TCP worker's serve loop: dial, handshake, run the worker
+/// protocol. A severed connection (PeerDisconnected from either
+/// direction, or a TcpDisconnectFault injected by a fault hook) drops
+/// the socket and redials -- the worker restarts its protocol state from
 /// scratch, which is correct because the master rolled back everything
-/// it had in flight when it observed the death. Any other exception is
-/// a real worker death: ship the kError notice while the socket lives
-/// and exit non-zero, like the process transport's child.
-[[noreturn]] void run_child(std::uint16_t port, std::uint64_t token,
-                            const WorkerContext& context,
-                            const matrix::KernelConfig& config,
-                            std::uint64_t max_frame_bytes, bool compress) {
-#if defined(__linux__)
-  // An orphaned worker must not outlive a crashed master.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  matrix::install_kernel_config(config);
-
-  BufferPool pool;
+/// it had in flight when it observed the death. If the master is really
+/// gone, dial_master's deadline (or PDEATHSIG) ends the loop. Returns on
+/// the master's goodbye; any other exception is a real worker death.
+void serve_dialing(int& fd, BufferPool& pool, std::uint16_t port,
+                   std::uint64_t token, const WorkerContext& context,
+                   std::uint64_t max_frame_bytes) {
   for (;;) {
-    int fd = -1;
     try {
       fd = dial_master(port);
-      handshake(fd, token);
-      TcpWorkerPort worker_port(fd, &pool, max_frame_bytes, compress);
+      exchange_hello(fd, token);
+      StreamWorkerPort worker_port(fd, &pool, max_frame_bytes);
       worker_main(context, worker_port, pool);
-      ::close(fd);
-      ::_exit(0);  // goodbye received: clean exit
+      return;
     } catch (const TcpDisconnectFault&) {
       // Injected link failure: sever abruptly (no goodbye, no notice)
       // and come back -- worker_main already surrendered the chunk.
-      if (fd >= 0) ::close(fd);
     } catch (const PeerDisconnected&) {
       // The link (or the master's endpoint) dropped under us: redial.
-      // If the master is really gone, dial_master's deadline (or
-      // PDEATHSIG) ends the loop.
-      if (fd >= 0) ::close(fd);
-    } catch (const std::exception& error) {
-      if (fd >= 0) {
-        try {
-          ByteBuffer notice;
-          serde::encode_error(error.what(), notice);
-          write_exact(fd, notice.data(), notice.size());
-        } catch (...) {
-          // The socket is gone too; the EOF alone carries the news.
-        }
-        ::close(fd);
-      }
-      ::_exit(2);
-    } catch (...) {
-      if (fd >= 0) ::close(fd);
-      ::_exit(2);
     }
+    ::close(fd);
+    fd = -1;
   }
 }
 
@@ -348,9 +178,18 @@ class Acceptor {
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
 
-  /// Accepts whatever is queued and advances every pending handshake;
-  /// non-blocking throughout.
-  void poll() {
+  /// Blocks in poll(2) -- over the listen socket and every pending
+  /// handshake -- until one of them has news or `timeout_ms` passes (0:
+  /// just look), then accepts what is queued and advances every pending
+  /// handshake. Non-blocking I/O throughout.
+  void poll(int timeout_ms) {
+    if (timeout_ms > 0 && listen_fd_ >= 0) {
+      std::vector<struct pollfd> fds;
+      fds.reserve(pending_.size() + 1);
+      fds.push_back({listen_fd_, POLLIN, 0});
+      for (const Pending& conn : pending_) fds.push_back({conn.fd, POLLIN, 0});
+      ::poll(fds.data(), fds.size(), timeout_ms);  // EINTR: just look again
+    }
     accept_new();
     const auto now = Clock::now();
     for (std::size_t i = 0; i < pending_.size();) {
@@ -365,7 +204,7 @@ class Acceptor {
   }
 
   /// Claims the staged connection presenting `token`; -1 if none. The
-  /// returned fd is non-blocking, ready for an endpoint's pump loop.
+  /// returned fd is non-blocking, ready for StreamEndpoint::adopt.
   int take(std::uint64_t token, serde::HelloFrame* hello) {
     for (std::size_t i = 0; i < staged_.size(); ++i) {
       if (staged_[i].hello.token != token) continue;
@@ -394,7 +233,7 @@ class Acceptor {
  private:
   struct Pending {
     int fd = -1;
-    ByteBuffer rx;
+    FrameReader reader{kHelloFrameBytes};
     Clock::time_point deadline;
   };
   struct Staged {
@@ -423,63 +262,19 @@ class Acceptor {
   /// completed valid hello moves the connection to staged_ (also
   /// returning true -- the fd moved, Pending::fd is cleared).
   bool advance(Pending& conn) {
-    std::uint8_t buffer[1024];
-    for (;;) {
-      const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        conn.rx.insert(conn.rx.end(), buffer, buffer + n);
-        continue;
-      }
-      if (n == 0) return true;  // EOF before a full hello
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return true;  // reset or a real error: drop
-    }
-    if (conn.rx.size() < serde::kLengthBytes) return false;
-    std::uint64_t length = 0;
     try {
-      length = serde::checked_frame_length(conn.rx.data(),
-                                           kHandshakeFrameBytes);
-    } catch (const std::exception& error) {
-      reject(conn.fd, error.what());
-      return true;
-    }
-    if (conn.rx.size() - serde::kLengthBytes < length) return false;
-    try {
-      const serde::HelloFrame hello = serde::decode_hello(
-          conn.rx.data() + serde::kLengthBytes,
-          static_cast<std::size_t>(length));
-      Staged staged;
-      staged.fd = conn.fd;
-      staged.hello = hello;
-      staged_.push_back(staged);
+      const bool open = conn.reader.fill(conn.fd);
+      const std::uint8_t* body = nullptr;
+      std::size_t size = 0;
+      if (!conn.reader.next(&body, &size)) return !open;
+      staged_.push_back({conn.fd, serde::decode_hello(body, size)});
       conn.fd = -1;  // ownership moved
       return true;
     } catch (const std::exception& error) {
       // Not an hmxp worker, or a version skew: tell it why (the error
-      // names both versions) and close. Best-effort -- the peer may
-      // already be gone.
-      reject(conn.fd, error.what());
+      // names both versions) and drop it.
+      send_error_notice(conn.fd, error.what());
       return true;
-    }
-  }
-
-  void reject(int fd, const std::string& reason) noexcept {
-    try {
-      ByteBuffer frame;
-      serde::encode_error(reason, frame);
-      std::size_t done = 0;
-      while (done < frame.size()) {
-        const ssize_t n = ::send(fd, frame.data() + done,
-                                 frame.size() - done, MSG_NOSIGNAL);
-        if (n > 0) {
-          done += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        break;  // non-blocking fd or dead peer: give up quietly
-      }
-    } catch (...) {
     }
   }
 
@@ -487,403 +282,6 @@ class Acceptor {
   std::uint16_t port_ = 0;
   std::vector<Pending> pending_;
   std::vector<Staged> staged_;
-};
-
-class TcpEndpoint final : public Endpoint {
- public:
-  TcpEndpoint(int index, std::uint64_t token, pid_t pid, std::size_t credits,
-              const serde::HelloFrame& expected_hello,
-              const serde::HelloFrame& ack_hello, BufferPool* pool,
-              TransportStats* stats, std::uint64_t max_frame_bytes,
-              bool compress, Acceptor* acceptor)
-      : index_(index),
-        token_(token),
-        pid_(pid),
-        capacity_(credits),
-        credits_(credits),
-        expected_hello_(expected_hello),
-        ack_hello_(ack_hello),
-        pool_(pool),
-        stats_(stats),
-        max_frame_bytes_(max_frame_bytes),
-        compress_(compress),
-        acceptor_(acceptor) {}
-
-  ~TcpEndpoint() override { teardown(); }
-
-  // ----- Endpoint -----
-  void send(WorkerMessage message) override {
-    throw_if_dead();
-    const auto serde_begin = Clock::now();
-    tx_.clear();
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      serde::encode_chunk(*chunk, tx_);
-      chunk->c.release_to(*pool_);
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      serde::encode_operand(*operands, tx_);
-      operands->a.release_to(*pool_);
-      operands->b.release_to(*pool_);
-    } else {
-      serde::encode_cancel(std::get<CancelMessage>(message), tx_);
-    }
-    if (compress_) {
-      const std::size_t saved = maybe_compress_frame(tx_, scratch_);
-      if (saved > 0) {
-        ++stats_->frames_compressed;
-        stats_->bytes_saved_by_compression += saved;
-      }
-    }
-    stats_->serde_seconds += seconds_since(serde_begin);
-
-    // The bounded-inbox rule: no credit, no send. Pump while waiting so
-    // results and credits keep flowing (and death is noticed).
-    while (credits_ == 0 && !failed_) wait_io();
-    throw_if_dead();
-    --credits_;
-    write_frame();
-    ++stats_->messages_sent;
-    stats_->bytes_sent += tx_.size();
-  }
-
-  std::optional<ResultMessage> try_recv() override {
-    if (results_.empty() && !failed_) pump();
-    return pop_result();
-  }
-
-  std::optional<ResultMessage> recv() override {
-    pump();
-    while (results_.empty() && !failed_) wait_io();
-    return pop_result();
-  }
-
-  bool failed() const override { return failed_; }
-  std::exception_ptr error() const override { return error_; }
-  bool killed() const override { return killed_; }
-
-  void kill() override {
-    if (killed_) return;
-    killed_ = true;
-    if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-
-  void drain(BufferPool& pool) override {
-    while (!results_.empty()) {
-      results_.front().c.release_to(pool);
-      results_.pop_front();
-    }
-    rx_.clear();
-  }
-
-  /// Re-admission: the master fully recovered from this worker's death
-  /// and asks whether it came back. Claim the staged reconnection (if
-  /// the worker redialed by now), reset the connection state and the
-  /// credit window, ack the handshake, and report the worker healthy.
-  bool try_readmit() override {
-    if (!failed_ || killed_) return false;
-    acceptor_->poll();
-    serde::HelloFrame hello;
-    const int fd = acceptor_->take(token_, &hello);
-    if (fd < 0) return false;
-    if (!hello.same_kernel_config(expected_hello_)) {
-      // Cannot happen for a forked child (it re-asserts the master's
-      // config), but a drop-in remote worker could diverge: refuse.
-      ::close(fd);
-      return false;
-    }
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = fd;
-    rx_.clear();
-    eof_ = false;
-    failed_ = false;
-    error_ = nullptr;
-    credits_ = capacity_;
-    try {
-      tx_.clear();
-      serde::encode_hello(ack_hello_, tx_);
-      write_frame();
-    } catch (...) {
-      return false;  // the fresh connection died instantly: stay failed
-    }
-    return true;
-  }
-
-  // ----- transport-internal -----
-  /// Blocks until the worker's first connection handshook (validating
-  /// its kernel configuration) or it died on the launch pad. Bounded.
-  void wait_hello() {
-    const auto deadline = Clock::now() + std::chrono::seconds(30);
-    while (fd_ < 0 && !failed_) {
-      acceptor_->poll();
-      serde::HelloFrame hello;
-      const int fd = acceptor_->take(token_, &hello);
-      if (fd >= 0) {
-        adopt(fd, hello);
-        return;
-      }
-      if (Clock::now() >= deadline) {
-        mark_failed("no bootstrap hello within 30s");
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
-  /// Graceful stop: an explicit goodbye (so the worker KNOWS this is
-  /// not a dead link and must not redial), then half-close.
-  void begin_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0 && !killed_ && !failed_) {
-      try {
-        tx_.clear();
-        serde::encode_control(FrameType::kGoodbye, tx_);
-        write_frame();
-      } catch (...) {
-        // A dying connection on the way out carries the news as EOF.
-      }
-    }
-    if (fd_ >= 0 && !killed_) ::shutdown(fd_, SHUT_WR);
-  }
-
-  /// Drains the socket to EOF, reaps the child, closes the fd.
-  void finish_shutdown() noexcept {
-    discarding_ = true;
-    if (fd_ >= 0) {
-      try {
-        while (!eof_ && !failed_) wait_io();
-      } catch (...) {
-      }
-    }
-    teardown();
-  }
-
- private:
-  void teardown() noexcept {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    if (pid_ > 0 && !reaped_) {
-      // A FAILED child may be alive and redialing (or wedged); nothing
-      // upstream is obliged to have killed it, and waitpid must never
-      // block on a process that will not exit.
-      if (failed_) ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-      reaped_ = true;
-    }
-  }
-
-  [[noreturn]] void throw_dead() { std::rethrow_exception(error_); }
-  void throw_if_dead() {
-    if (failed_) throw_dead();
-  }
-
-  std::optional<ResultMessage> pop_result() {
-    if (results_.empty()) return std::nullopt;
-    ResultMessage result = std::move(results_.front());
-    results_.pop_front();
-    ++stats_->messages_received;
-    return result;
-  }
-
-  void mark_failed(const std::string& reason) {
-    if (failed_) return;
-    std::string what = "tcp worker " + std::to_string(index_) + ": " + reason;
-    if (pid_ > 0 && !reaped_) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-      if (reaped == pid_) {
-        reaped_ = true;
-        if (WIFSIGNALED(status)) {
-          what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                  ")";
-        } else if (WIFEXITED(status)) {
-          what += " (exit status " + std::to_string(WEXITSTATUS(status)) +
-                  ")";
-        }
-      }
-    }
-    error_ = std::make_exception_ptr(std::runtime_error(what));
-    failed_ = true;
-  }
-
-  bool adopt(int fd, const serde::HelloFrame& hello) {
-    if (!hello.same_kernel_config(expected_hello_)) {
-      ::close(fd);
-      mark_failed(
-          "worker booted with a divergent kernel configuration "
-          "(tier/micro-kernel/tuned blocking)");
-      return false;
-    }
-    fd_ = fd;
-    eof_ = false;
-    try {
-      tx_.clear();
-      serde::encode_hello(ack_hello_, tx_);
-      write_frame();
-    } catch (...) {
-      return false;  // write_frame already marked the endpoint failed
-    }
-    return true;
-  }
-
-  /// Ships the prepared frame, pumping inbound traffic whenever the
-  /// socket back-pressures.
-  void write_frame() {
-    std::size_t done = 0;
-    while (done < tx_.size()) {
-      const ssize_t n = ::send(fd_, tx_.data() + done, tx_.size() - done,
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        done += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        wait_io(/*want_write=*/true);
-        if (failed_) throw_dead();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-        mark_failed("connection lost mid-write");
-        throw_dead();
-      }
-      mark_failed(std::string("send failed: ") + std::strerror(errno));
-      throw_dead();
-    }
-  }
-
-  void wait_io(bool want_write = false, int timeout_ms = -1) {
-    if (eof_ || fd_ < 0) {
-      if (!failed_) mark_failed("connection closed");
-      return;
-    }
-    struct pollfd entry;
-    entry.fd = fd_;
-    entry.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-    entry.revents = 0;
-    const int ready = ::poll(&entry, 1, timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      mark_failed(std::string("poll failed: ") + std::strerror(errno));
-      return;
-    }
-    pump();
-  }
-
-  void pump() {
-    if (eof_ || fd_ < 0) return;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        rx_.insert(rx_.end(), buffer, buffer + n);
-        if (static_cast<std::size_t>(n) < sizeof buffer) break;
-        continue;
-      }
-      if (n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        eof_ = true;
-        break;
-      }
-      mark_failed(std::string("recv failed: ") + std::strerror(errno));
-      return;
-    }
-    parse_frames();
-    if (eof_ && !failed_ && !discarding_)
-      mark_failed("connection lost (closed without a goodbye)");
-  }
-
-  void parse_frames() {
-    std::size_t cursor = 0;
-    while (rx_.size() - cursor >= serde::kLengthBytes) {
-      std::uint64_t length = 0;
-      try {
-        // Geometry-derived bound: a corrupt prefix fails the endpoint
-        // cleanly, it never sizes an allocation.
-        length = serde::checked_frame_length(rx_.data() + cursor,
-                                             max_frame_bytes_);
-      } catch (const std::exception& error) {
-        mark_failed(error.what());
-        break;
-      }
-      if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-      try {
-        dispatch(rx_.data() + cursor + serde::kLengthBytes,
-                 static_cast<std::size_t>(length));
-      } catch (const std::exception& error) {
-        mark_failed(std::string("protocol corruption: ") + error.what());
-        break;
-      }
-      cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-      stats_->bytes_received += serde::kLengthBytes +
-                               static_cast<std::size_t>(length);
-    }
-    if (cursor > 0)
-      rx_.erase(rx_.begin(),
-                rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
-
-  void dispatch(const std::uint8_t* body, std::size_t size) {
-    if (serde::frame_type(body, size) == FrameType::kCompressed) {
-      // Unwrap (bounded by the same frame limit; nesting rejected by
-      // the decoder) and dispatch the inner body.
-      serde::decode_compressed(body, size, max_frame_bytes_, raw_);
-      dispatch(raw_.data(), raw_.size());
-      return;
-    }
-    switch (serde::frame_type(body, size)) {
-      case FrameType::kCredit:
-        ++credits_;
-        break;
-      case FrameType::kResult: {
-        if (discarding_) break;
-        const auto serde_begin = Clock::now();
-        results_.push_back(serde::decode_result(body, size, *pool_));
-        stats_->serde_seconds += seconds_since(serde_begin);
-        break;
-      }
-      case FrameType::kError:
-        mark_failed(serde::decode_error(body, size));
-        break;
-      default:
-        // Hellos never ride an admitted connection -- the Acceptor owns
-        // every handshake -- so one here is as corrupt as any stranger.
-        mark_failed("unexpected frame from worker");
-        break;
-    }
-  }
-
-  int index_;
-  std::uint64_t token_;
-  pid_t pid_;
-  std::size_t capacity_;
-  std::size_t credits_;
-  serde::HelloFrame expected_hello_;
-  serde::HelloFrame ack_hello_;
-  BufferPool* pool_;
-  TransportStats* stats_;
-  std::uint64_t max_frame_bytes_;
-  bool compress_;
-  Acceptor* acceptor_;
-  int fd_ = -1;
-  ByteBuffer rx_;
-  ByteBuffer tx_;
-  ByteBuffer raw_;
-  ByteBuffer scratch_;
-  std::deque<ResultMessage> results_;
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool killed_ = false;
-  bool eof_ = false;
-  bool discarding_ = false;
-  bool reaped_ = false;
 };
 
 class TcpTransport final : public Transport {
@@ -895,7 +293,6 @@ class TcpTransport final : public Transport {
     // Resolve (possibly autotune) the blocking in the master, before
     // any fork; children re-assert and answer for exactly this state.
     const matrix::KernelConfig config = matrix::current_kernel_config();
-    const serde::HelloFrame expected_hello = serde::local_hello(config);
     const std::uint64_t max_frame_bytes =
         options.max_frame_bytes != 0
             ? static_cast<std::uint64_t>(options.max_frame_bytes)
@@ -905,15 +302,16 @@ class TcpTransport final : public Transport {
     // socketpair transports, where the fd itself is the identity).
     std::random_device entropy;
     const std::uint64_t base =
-        (static_cast<std::uint64_t>(entropy()) << 32) ^ entropy();
+        ((static_cast<std::uint64_t>(entropy()) << 32) ^ entropy()) | 1;
     const auto count = static_cast<std::size_t>(workers);
+    std::vector<std::uint64_t> tokens(count);
     try {
       endpoints_.reserve(count);
       for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t token = (base | 1) + i;
+        const std::uint64_t token = tokens[i] = base + i;
         const WorkerContext context =
             make_worker_context(options, static_cast<int>(i), run_begin);
-        const bool compress = options.wire_compression;
+        const std::uint16_t port = acceptor_.port();
 
         const pid_t pid = ::fork();
         HMXP_CHECK(pid >= 0, "fork failed");
@@ -921,23 +319,42 @@ class TcpTransport final : public Transport {
           // Child: it DIALS, so the only inherited resource to drop is
           // the master's listen socket.
           acceptor_.close_in_child();
-          run_child(acceptor_.port(), token, context, config,
-                    max_frame_bytes, compress);  // never returns
+          run_worker_child(-1, config, [&](int& fd, BufferPool& worker_pool) {
+            serve_dialing(fd, worker_pool, port, token, context,
+                          max_frame_bytes);
+          });
         }
-        serde::HelloFrame ack = expected_hello;
-        ack.token = token;
-        endpoints_.push_back(std::make_unique<TcpEndpoint>(
-            static_cast<int>(i), token, pid, inbox_capacity, expected_hello,
-            ack, pool, &endpoint_stats_[i], max_frame_bytes, compress,
-            &acceptor_));
+        serde::HelloFrame hello = serde::local_hello(config);
+        hello.token = token;
+        endpoints_.push_back(std::make_unique<StreamEndpoint>(
+            "tcp worker " + std::to_string(i), pid, inbox_capacity, hello,
+            pool, &endpoint_stats_[i], max_frame_bytes,
+            [this, token](serde::HelloFrame* reconnect) {
+              acceptor_.poll(/*timeout_ms=*/0);
+              return acceptor_.take(token, reconnect);
+            }));
       }
     } catch (...) {
       shutdown();
       throw;
     }
-    // Synchronize on every worker's bootstrap handshake: launch-pad
-    // deaths, version skews and kernel-tier mismatches surface here.
-    for (auto& endpoint : endpoints_) endpoint->wait_hello();
+    // Synchronize on every worker's bootstrap handshake, blocked in
+    // poll: launch-pad deaths, version skews and kernel-configuration
+    // mismatches surface here.
+    const auto deadline = Clock::now() + kBootstrapTimeout;
+    for (std::size_t i = 0; i < count; ++i) {
+      serde::HelloFrame hello;
+      int fd = acceptor_.take(tokens[i], &hello);
+      while (fd < 0 && Clock::now() < deadline) {
+        acceptor_.poll(millis_until(deadline));
+        fd = acceptor_.take(tokens[i], &hello);
+      }
+      if (fd >= 0)
+        endpoints_[i]->adopt(fd, hello);
+      else
+        endpoints_[i]->fail("no bootstrap hello within " +
+                            std::to_string(kBootstrapTimeout.count()) + "s");
+    }
   }
 
   ~TcpTransport() override { shutdown(); }
@@ -970,7 +387,7 @@ class TcpTransport final : public Transport {
   // One slot per endpoint (each writes only its own; stable addresses,
   // never resized) so concurrent fleet jobs never race on a counter.
   std::vector<TransportStats> endpoint_stats_;
-  std::vector<std::unique_ptr<TcpEndpoint>> endpoints_;
+  std::vector<std::unique_ptr<StreamEndpoint>> endpoints_;
 };
 
 }  // namespace

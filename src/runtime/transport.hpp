@@ -5,7 +5,7 @@
 //
 // The master loop (runtime/executor.cpp) is written against this
 // interface only; it never touches a channel, a thread, or a file
-// descriptor. Two transports implement it:
+// descriptor. Four transports implement it:
 //
 //   * ThreadTransport  (thread_transport.cpp) -- one std::thread per
 //     worker over bounded in-process channels. Zero-copy: messages move
@@ -16,6 +16,10 @@
 //     length-prefixed frames (runtime/serde.hpp). The real isolation of
 //     the paper's MPI deployment: a SIGKILL'd child is a first-class
 //     worker failure the master survives under tolerate_faults.
+//   * TcpTransport (tcp_transport.cpp) -- forked workers that DIAL the
+//     master over loopback TCP, and redial after a dropped connection.
+//     Once connected, process and TCP workers share one framed-socket
+//     endpoint (runtime/stream_endpoint.hpp).
 //   * ShmTransport (shm_transport.cpp) -- forked workers whose whole
 //     data plane lives in pre-fork MAP_SHARED memory: payloads in a
 //     SharedArena, descriptor frames (slot, length) in per-worker SPSC
@@ -29,7 +33,7 @@
 // engine: a worker's inbox holds at most `inbox_capacity` messages (the
 // chunk plus prefetch_depth + 1 operand batches), so a master pushing
 // past a worker's buffer capacity BLOCKS -- channels enforce it with
-// their queue bound, the process transport with explicit buffer credits
+// their queue bound, the socket transports with explicit buffer credits
 // the worker returns as it dequeues, the shm transport by comparing its
 // sent counter against the worker's ack-board dequeue counter. A
 // real-cluster (MPI/ssh) transport is a drop-in implementation of the
@@ -78,13 +82,6 @@ struct TransportStats {
   std::size_t arena_slots = 0;
   std::size_t arena_peak_slots = 0;
   std::size_t arena_leaked_slots = 0;
-  /// Wire-compression outcome (TCP transport with
-  /// ExecutorOptions::wire_compression on): master-side frames that
-  /// shipped compressed, and the bytes the codec removed from them. The
-  /// sender keeps a frame raw when compression fails to shrink it, so
-  /// incompressible traffic leaves both counters at 0.
-  std::size_t frames_compressed = 0;
-  std::size_t bytes_saved_by_compression = 0;
 
   /// Field-wise accumulation. Transports keep one stats slot PER
   /// endpoint (each endpoint writes only its own, so two master loops

@@ -75,28 +75,21 @@ FaultTolerantScheduler::FaultTolerantScheduler(
 
 void FaultTolerantScheduler::absorb_failures(const sim::ExecutionView& view) {
   const auto workers = static_cast<std::size_t>(view.worker_count());
-  if (known_alive_.size() != workers) {
-    known_alive_.assign(workers, true);
-    in_flight_.assign(workers, std::nullopt);
-  }
+  if (in_flight_.size() != workers) in_flight_.assign(workers, std::nullopt);
   for (std::size_t w = 0; w < workers; ++w) {
-    // Confirm completions from the view's ground truth: the shadow
-    // clears only once the worker's returned-chunk count moved past
-    // its assign-time value.
-    if (in_flight_[w].has_value() &&
-        view.progress(static_cast<int>(w)).chunks_returned >
-            in_flight_[w]->returned_before)
-      in_flight_[w].reset();
-    if (!known_alive_[w]) {
-      // A worker can come BACK (TCP reconnect re-admission): re-arm the
-      // death detector, or a second loss of the same worker would slip
-      // by with its in-flight chunk never orphaned.
-      if (view.alive(static_cast<int>(w))) known_alive_[w] = true;
-      continue;
-    }
-    if (view.alive(static_cast<int>(w))) continue;
-    known_alive_[w] = false;
-    if (in_flight_[w].has_value()) {
+    if (!in_flight_[w].has_value()) continue;
+    // Read the chunk's fate from the view's monotone counters, not from
+    // liveness: a worker can fail and be re-admitted between two
+    // decisions, and it is alive and idle by the time we look.
+    const sim::WorkerProgress& progress = view.progress(static_cast<int>(w));
+    const Shadow& shadow = *in_flight_[w];
+    if (progress.chunks_returned > shadow.returned_before ||
+        progress.chunks_cancelled > shadow.cancelled_before) {
+      in_flight_[w].reset();  // collected, or revoked for its twin
+    } else if (progress.chunks_lost > shadow.lost_before ||
+               !progress.has_chunk) {
+      // Lost in flight -- or never delivered: the online backend rolls
+      // a SendC back when the worker died under its real half.
       orphans_.push_back(std::move(in_flight_[w]->plan));
       in_flight_[w].reset();
     }
@@ -160,8 +153,9 @@ sim::Decision FaultTolerantScheduler::track(const sim::ExecutionView& view,
   if (decision.kind == sim::Decision::Kind::kComm &&
       decision.comm == sim::CommKind::kSendC) {
     const auto w = static_cast<std::size_t>(decision.worker);
-    in_flight_[w] =
-        Shadow{decision.chunk, view.progress(decision.worker).chunks_returned};
+    const sim::WorkerProgress& progress = view.progress(decision.worker);
+    in_flight_[w] = Shadow{decision.chunk, progress.chunks_returned,
+                           progress.chunks_cancelled, progress.chunks_lost};
   }
   return decision;
 }

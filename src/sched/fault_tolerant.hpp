@@ -2,12 +2,15 @@
 // survive permanent worker loss.
 //
 // The wrapper shadows the chunk each worker currently holds (it sees
-// every decision it returns). When the view reports a worker newly dead
-// (FaultSchedule event in the simulator, a dead thread in the online
-// runtime), the backend has already returned the lost chunk's blocks to
-// the pending set; the wrapper moves its shadow copy onto an orphan
-// queue and re-issues it to a survivor ahead of the inner policy's own
-// decisions:
+// every decision it returns). When the view's lost-chunk count of a
+// worker rose past its assign-time value (FaultSchedule event in the
+// simulator, a dead thread or process in the online runtime), the
+// backend has already returned the lost chunk's blocks to the pending
+// set; the wrapper moves its shadow copy onto an orphan queue and
+// re-issues it to a survivor ahead of the inner policy's own decisions.
+// The check is level-triggered on monotone counters, never an
+// alive->dead edge, so a worker that fails AND is re-admitted (TCP
+// reconnect) between two decisions still has its chunk recovered:
 //
 //   * the re-issue target is the free surviving worker with the best
 //     estimated chunk completion under the view's CALIBRATED speeds
@@ -56,20 +59,21 @@ class FaultTolerantScheduler final : public sim::Scheduler {
   std::size_t orphan_count() const { return orphans_.size(); }
 
  private:
-  /// Shadow of a chunk handed to a worker, plus the worker's
-  /// chunks_returned count at assign time: the chunk is confirmed done
-  /// only once the view's count moves past it. (A returned RecvC
-  /// decision proves nothing -- the online backend rolls a decision
-  /// back when the worker dies under its real half.)
+  /// Shadow of a chunk handed to a worker, plus the worker's monotone
+  /// returned / cancelled / lost counts at assign time: the chunk's
+  /// fate is read from which count moved past its assign-time value.
+  /// (A returned RecvC decision proves nothing -- the online backend
+  /// rolls a decision back when the worker dies under its real half.)
   struct Shadow {
     sim::ChunkPlan plan;
     model::BlockCount returned_before = 0;
+    model::BlockCount cancelled_before = 0;
+    model::BlockCount lost_before = 0;
   };
 
   std::string name_;
   std::unique_ptr<sim::Scheduler> inner_;
   std::vector<std::optional<Shadow>> in_flight_;  // lazily sized
-  std::vector<bool> known_alive_;
   std::deque<sim::ChunkPlan> orphans_;
 
   void absorb_failures(const sim::ExecutionView& view);

@@ -336,13 +336,15 @@ std::uint16_t Daemon::serve_tcp(std::uint16_t port) {
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
   listen_fd_ = fd;
   tcp_port_ = ntohs(addr.sin_port);
-  acceptor_ = std::thread([this] { tcp_accept_loop(); });
+  // The acceptor owns a copy of the fd: shutdown() wakes it with
+  // shutdown(2) and closes the fd only after joining it.
+  acceptor_ = std::thread([this, fd] { tcp_accept_loop(fd); });
   return tcp_port_;
 }
 
-void Daemon::tcp_accept_loop() {
+void Daemon::tcp_accept_loop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) return;  // listen socket closed: shutting down
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     session_fds_.push_back(fd);
@@ -395,14 +397,15 @@ void Daemon::shutdown() {
   }
   for (std::thread& runner : runners_) runner.join();
   runners_.clear();
-  // 3. Tear the TCP front-end down: closing the listen socket pops the
-  //    acceptor, shutting session sockets pops their read_frame loops.
+  // 3. Tear the TCP front-end down: shutting the listen socket pops the
+  //    acceptor (closed once joined), shutting session sockets pops
+  //    their read_frame loops.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);

@@ -116,7 +116,7 @@ class Daemon {
 
   void runner_loop();
   void run_job(std::uint64_t job_id);
-  void tcp_accept_loop();
+  void tcp_accept_loop(int listen_fd);
   void tcp_session(int fd);
 
   // Lease manager (all under lease_mutex_).

@@ -123,6 +123,84 @@ TEST(EngineFaults, SnapshotRestoreRewindsFailure) {
   EXPECT_FALSE(engine.alive(1));
 }
 
+// ---- fail + revive between two decisions -----------------------------------
+
+// Where the bounce lands relative to worker 1's chunk.
+enum class Bounce {
+  kAfterSendC,   // chunk delivered, no operands yet
+  kAfterSendAB,  // chunk mid-compute
+  kRolledBack,   // SendC undone (the online master's rollback), then lost
+};
+
+std::string bounce_name(Bounce bounce) {
+  switch (bounce) {
+    case Bounce::kAfterSendC:
+      return "AfterSendC";
+    case Bounce::kAfterSendAB:
+      return "AfterSendAB";
+    case Bounce::kRolledBack:
+      return "RolledBack";
+  }
+  return "unknown";
+}
+
+class FtFailRevive
+    : public ::testing::TestWithParam<std::tuple<std::string, Bounce>> {};
+
+TEST_P(FtFailRevive, ChunkLostAcrossAReadmissionIsStillReissued) {
+  // The TCP reconnect race replayed deterministically: the first worker
+  // handed a chunk fails and is re-admitted BETWEEN two decisions, so
+  // the scheduler never sees it dead -- only alive, idle, and one chunk
+  // poorer. The chunk it held must still be re-issued and C fully
+  // covered.
+  const auto& [name, bounce] = GetParam();
+  const auto plat = stress_platform();
+  const auto part = stress_partition();
+  auto scheduler = sched::Registry::instance().make(name, plat, part);
+  sim::Engine engine(plat, part, /*record_trace=*/false);
+  const sim::CommKind trigger = bounce == Bounce::kAfterSendAB
+                                    ? sim::CommKind::kSendAB
+                                    : sim::CommKind::kSendC;
+
+  int victim = -1;
+  std::size_t executed = 0;
+  while (true) {
+    const sim::Decision decision = scheduler->next(engine);
+    if (decision.kind == sim::Decision::Kind::kDone) break;
+    const sim::EngineState before = engine.snapshot();
+    engine.execute(decision);
+    ++executed;
+    ASSERT_LE(executed, sim::decision_budget(part));
+    if (victim >= 0 || decision.kind != sim::Decision::Kind::kComm ||
+        decision.comm != trigger)
+      continue;
+    victim = decision.worker;
+    if (bounce == Bounce::kRolledBack) engine.restore(before);
+    engine.fail_worker(victim);
+    engine.revive_worker(victim);
+  }
+
+  ASSERT_GE(victim, 0);
+  EXPECT_TRUE(engine.alive(victim));
+  EXPECT_EQ(engine.progress(victim).chunks_lost,
+            bounce == Bounce::kRolledBack ? 0 : 1);
+  // finalize() inside collect_result proves exact coverage.
+  const sim::RunResult result =
+      sim::collect_result(scheduler->name(), engine, executed);
+  EXPECT_EQ(result.updates, kStressUpdates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, FtFailRevive,
+    ::testing::Combine(::testing::ValuesIn(ft_names()),
+                       ::testing::Values(Bounce::kAfterSendC,
+                                         Bounce::kAfterSendAB,
+                                         Bounce::kRolledBack)),
+    [](const auto& info) {
+      return testing::param_safe(std::get<0>(info.param)) + "_" +
+             bounce_name(std::get<1>(info.param));
+    });
+
 // ---- orphan re-planning -----------------------------------------------------
 
 TEST(FaultTolerant, ReplanSplitsChunksToFitSmallerMemory) {
